@@ -2,6 +2,7 @@ package netfab
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -221,19 +222,23 @@ func (f *Fab) maybeAllDoneLocked() {
 		return
 	}
 	b.announced = true
+	// Complete the barrier before telling the peers: a peer may exit as
+	// soon as it reads frAllDone, and the EOF on its control link must
+	// read as the end of the run, not as a lost link. shutdown takes
+	// b.mu to close these links, so the sends below still finish first.
+	close(f.done)
 	alldone := ctrlFrame(frAllDone, nil)
 	for rank := 1; rank < f.n; rank++ {
 		if err := sendCtrl(b.ctrl[rank], alldone); err != nil {
 			f.fatalf("alldone to rank %d: %v", rank, err)
 		}
 	}
-	close(f.done)
 }
 
 // bootstrapJoin runs a non-zero rank's side: dial the rendezvous node with
 // retry, register, receive the address map, ack, wait for the release.
 func (f *Fab) bootstrapJoin(rendezvous string, deadline time.Time) error {
-	conn, err := dialRetry(rendezvous, deadline, f.opts.DialBackoff, f.opts.DialBackoffMax)
+	conn, err := dialRetry(context.Background(), rendezvous, deadline, f.opts.DialBackoff, f.opts.DialBackoffMax)
 	if err != nil {
 		return fmt.Errorf("netfab: rendezvous %s: %w", rendezvous, err)
 	}

@@ -2,6 +2,7 @@ package netfab
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -92,15 +93,20 @@ func readUvarint(r *bufio.Reader) (uint64, error) {
 	}
 }
 
-// dialRetry dials addr until it succeeds or the deadline passes, backing
-// off exponentially from backoff to backoffMax between attempts (the
-// Options.DialBackoff bounds). Peers of a cluster start in arbitrary
-// order, so early dials routinely hit "connection refused" — retry is part
-// of the bootstrap contract, not error handling. The same loop is the
-// reconnect path after a data-link failure.
-func dialRetry(addr string, deadline time.Time, backoff, backoffMax time.Duration) (net.Conn, error) {
+// dialRetry dials addr until it succeeds, the deadline passes or ctx is
+// done, backing off exponentially from backoff to backoffMax between
+// attempts (the Options.DialBackoff bounds). Peers of a cluster start in
+// arbitrary order, so early dials routinely hit "connection refused" —
+// retry is part of the bootstrap contract, not error handling. The same
+// loop is the lazy first dial and the reconnect path after a data-link
+// failure; those pass the fabric's dial context, so an abort or shutdown
+// ends a dial to a dead rank at once instead of at the deadline.
+func dialRetry(ctx context.Context, addr string, deadline time.Time, backoff, backoffMax time.Duration) (net.Conn, error) {
+	ctx, cancel := context.WithDeadline(ctx, deadline)
+	defer cancel()
+	var d net.Dialer
 	for {
-		conn, err := net.DialTimeout("tcp", addr, time.Until(deadline))
+		conn, err := d.DialContext(ctx, "tcp", addr)
 		if err == nil {
 			if tc, ok := conn.(*net.TCPConn); ok {
 				tc.SetNoDelay(true) // frames are batched by the writer, not the kernel
@@ -110,7 +116,11 @@ func dialRetry(addr string, deadline time.Time, backoff, backoffMax time.Duratio
 		if time.Now().Add(backoff).After(deadline) {
 			return nil, fmt.Errorf("netfab: dial %s: %w", addr, err)
 		}
-		time.Sleep(backoff)
+		select {
+		case <-time.After(backoff):
+		case <-ctx.Done():
+			return nil, fmt.Errorf("netfab: dial %s: %w", addr, ctx.Err())
+		}
 		backoff *= 2
 		if backoff > backoffMax {
 			backoff = backoffMax
@@ -206,7 +216,7 @@ func (f *Fab) sendHello(conn net.Conn, resume bool) error {
 // newPeer dials dst's listener, sends the link hello and starts the
 // batching writer and the ack reader.
 func (f *Fab) newPeer(dst int) (*peer, error) {
-	conn, err := dialRetry(f.addrs[dst], time.Now().Add(f.opts.Boot),
+	conn, err := dialRetry(f.dialCtx, f.addrs[dst], time.Now().Add(f.opts.Boot),
 		f.opts.DialBackoff, f.opts.DialBackoffMax)
 	if err != nil {
 		return nil, fmt.Errorf("link %d->%d: %w", f.rank, dst, err)
@@ -278,8 +288,10 @@ func trimAcked(unacked []outFrame, acked int64) []outFrame {
 // until the receiver's cumulative ack covers it; a connection error — a
 // real reset, a write timeout, or an injected fault — triggers a redial
 // and a resend of the whole window (the receiver suppresses duplicates by
-// sequence number). Closing p.out flushes and closes the connection.
+// sequence number). Closing p.out flushes the connection; every exit
+// closes it, which ends this link's ackLoop and the receiver's readLoop.
 func (f *Fab) writeLoop(p *peer, conn net.Conn) {
+	defer p.closeConn()
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var unacked []outFrame
 	fail := func() bool { // returns false when the link is lost for good
@@ -315,7 +327,6 @@ func (f *Fab) writeLoop(p *peer, conn net.Conn) {
 		}
 		if !ok {
 			bw.Flush()
-			p.closeConn()
 			return
 		}
 		werr := false
@@ -355,13 +366,11 @@ func (f *Fab) writeLoop(p *peer, conn net.Conn) {
 				// Shutdown raced the failure; the redial already resent
 				// everything outstanding.
 				bw.Flush()
-				p.closeConn()
 				return
 			}
 			continue
 		}
 		if closed {
-			p.closeConn()
 			return
 		}
 	}
@@ -385,7 +394,7 @@ func (f *Fab) redial(p *peer, unacked *[]outFrame) (net.Conn, *bufio.Writer) {
 		if f.closing.Load() {
 			return nil, nil
 		}
-		conn, err := dialRetry(f.addrs[p.dst], deadline,
+		conn, err := dialRetry(f.dialCtx, f.addrs[p.dst], deadline,
 			f.opts.DialBackoff, f.opts.DialBackoffMax)
 		if err != nil {
 			f.fatalf("link %d->%d: reconnect: %v", f.rank, p.dst, err)

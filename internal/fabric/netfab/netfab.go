@@ -25,6 +25,7 @@
 package netfab
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -114,6 +115,11 @@ type Fab struct {
 	failErr error
 	aborted atomic.Bool // an abort notice was already propagated
 
+	// dialCtx ends on the first fatal error or on shutdown, cancelling
+	// every data-link dial and its backoff.
+	dialCtx     context.Context
+	cancelDials context.CancelFunc
+
 	counters []stats.Counters
 	acct     [stats.NumCat]int64
 	sendSeq  []int64 // per-destination link sequence, app goroutine only
@@ -177,6 +183,7 @@ func Join(cfg Config) (*Fab, error) {
 	for i := range f.inLinks {
 		f.inLinks[i] = &inLink{}
 	}
+	f.dialCtx, f.cancelDials = context.WithCancel(context.Background())
 	f.resolveShm()
 	go f.acceptLoop()
 	deadline := time.Now().Add(opts.Boot)
@@ -205,6 +212,7 @@ func (f *Fab) fatalf(format string, args ...any) {
 	if first {
 		f.failErr = fmt.Errorf("netfab: rank %d: %s", f.rank, fmt.Sprintf(format, args...))
 		close(f.fail)
+		f.cancelDials()
 	}
 	f.failMu.Unlock()
 	if first {
@@ -415,6 +423,7 @@ func (f *Fab) shutdown() {
 		return
 	}
 	close(f.stop)
+	f.cancelDials()
 	for _, p := range f.peers {
 		if p != nil {
 			close(p.out) // writer flushes and closes the conn

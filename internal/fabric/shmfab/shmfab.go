@@ -15,24 +15,27 @@ import (
 	"samsys/internal/trace"
 )
 
-// inboxCap bounds each node's delivery queue, matching gofab: sends
-// throttle (by servicing their own inbox) when a destination falls behind.
-const inboxCap = 1 << 16
+// spinPolls is how many empty sweeps an idle rank makes, yielding
+// between them, before it parks on its doorbell.
+const spinPolls = 64
 
-// inMsg is a delivered message plus its per-link sequence number.
+// inMsg is a queued self-send plus its sequence number on the self link.
 type inMsg struct {
 	m   fabric.Message
 	seq int64
 }
 
 // Cluster is an in-process cluster whose ranks communicate through real
-// mapped shm segments: one goroutine per rank runs the application (the
-// gofab execution model — handlers run only inside fabric calls, so a
-// node's app and handler code never overlap), one consumer goroutine per
-// inbound lane moves frames from shared memory into the rank's inbox.
-// Everything a hybrid multi-process deployment does — encode, ring write,
-// futex wake, in-place arena decode — happens here where the race
-// detector and the conformance suite can see it.
+// mapped shm segments. One goroutine per rank runs the application and,
+// inside every fabric call, polls the rank's inbound lanes round-robin and
+// runs the handler on each frame it finds: the polling message service of
+// the CM-5 runtime, so a node's app and handler code never overlap and no
+// relay goroutine stands between a lane and its rank. An idle rank spins
+// briefly, then parks on an in-process doorbell that a sender rings after
+// its ring write. Encode, ring write and in-place arena decode all happen
+// here where the race detector and the conformance suite can see them;
+// the lane futex wake used across processes is covered by the lane tests
+// and netfab's hybrid suites.
 type Cluster struct {
 	n        int
 	prof     machine.Profile
@@ -41,25 +44,28 @@ type Cluster struct {
 	counters []stats.Counters
 	acct     [][]int64 // [node][cat] nanoseconds, guarded by node goroutine
 
-	send [][]*SendLane // [src][dst], nil on the diagonal
-	recv [][]*RecvLane // [dst][src], nil on the diagonal
+	send  [][]*SendLane // [src][dst], nil on the diagonal
+	recv  [][]*RecvLane // [dst][src], nil on the diagonal
+	ranks []*ctx
 
-	inboxes  []chan inMsg
-	inflight []atomic.Int64 // per dst: frames popped but not yet enqueued
-	selfSeq  []int64        // per-node self-link sequence, owner goroutine only
+	// Exact termination: unhandled counts messages sent and not yet fully
+	// handled, running counts app bodies still executing. Once both are
+	// zero no message can ever be sent again; whichever decrement makes
+	// that so closes quiet and releases the draining ranks.
+	unhandled atomic.Int64
+	running   atomic.Int64
+	quiet     chan struct{}
+	quietOnce sync.Once
 
 	start   time.Time
 	elapsed sim.Time
 	ran     bool
-	done    chan struct{} // closed when every app body has returned
-	stop    chan struct{} // closed when consumers must exit
 
 	fail     chan struct{} // closed on cluster-fatal error (injected kill)
 	failOnce sync.Once
 	failErr  error
 
 	tr *trace.Recorder
-	wg sync.WaitGroup // consumer goroutines
 }
 
 // New creates an n-node shm cluster, creating and mapping the n*(n-1)
@@ -78,17 +84,14 @@ func New(prof machine.Profile, n int, opts ...Option) (*Cluster, error) {
 		acct:     make([][]int64, n),
 		send:     make([][]*SendLane, n),
 		recv:     make([][]*RecvLane, n),
-		inboxes:  make([]chan inMsg, n),
-		inflight: make([]atomic.Int64, n),
-		selfSeq:  make([]int64, n),
-		done:     make(chan struct{}),
-		stop:     make(chan struct{}),
+		ranks:    make([]*ctx, n),
+		quiet:    make(chan struct{}),
 		fail:     make(chan struct{}),
 	}
 	id := fmt.Sprintf("c-%d-%d", os.Getpid(), laneSerial.Add(1))
 	for i := 0; i < n; i++ {
 		f.acct[i] = make([]int64, stats.NumCat)
-		f.inboxes[i] = make(chan inMsg, inboxCap)
+		f.ranks[i] = &ctx{fab: f, node: i, bell: make(chan struct{}, 1)}
 		f.send[i] = make([]*SendLane, n)
 		f.recv[i] = make([]*RecvLane, n)
 	}
@@ -110,6 +113,7 @@ func New(prof machine.Profile, n int, opts ...Option) (*Cluster, error) {
 				return nil, fmt.Errorf("shmfab: lane %d->%d open: %w", src, dst, err)
 			}
 			f.recv[dst][src] = rl
+			f.ranks[dst].lanes = append(f.ranks[dst].lanes, inLane{src, rl})
 			s, d := src, dst
 			sl.OnSend = func(seq int64, size, bodyLen int, arenaCand bool) {
 				if tr := f.tr; tr != nil {
@@ -181,7 +185,7 @@ func (f *Cluster) SetTracer(r *trace.Recorder) {
 
 // fatalf records the first cluster-fatal error and releases everything
 // blocked on the fabric: contexts panic with the error at their next
-// fabric call, consumers and waits unwind through the fail channel.
+// fabric call, parked ranks wake through the fail channel.
 func (f *Cluster) fatalf(format string, args ...any) {
 	f.failOnce.Do(func() {
 		f.failErr = fmt.Errorf(format, args...)
@@ -245,43 +249,26 @@ func (f *Cluster) ReleasePayload(node int, item any) {
 	}
 }
 
-// Run launches one goroutine per rank plus one consumer per inbound lane
-// and returns when all ranks complete, or with the stored error after an
-// injected kill.
+// Run launches one goroutine per rank and returns once every app body has
+// returned and every message sent has been handled, or with the stored
+// error after an injected kill.
 func (f *Cluster) Run(app func(c fabric.Ctx)) error {
 	if f.ran {
 		return fmt.Errorf("shmfab: Run called twice")
 	}
 	f.ran = true
 	f.start = time.Now()
-	for dst := 0; dst < f.n; dst++ {
-		for src := 0; src < f.n; src++ {
-			if l := f.recv[dst][src]; l != nil {
-				f.wg.Add(1)
-				go f.consume(src, dst, l)
-			}
-		}
-	}
-	var appWg, drainWg sync.WaitGroup
-	appWg.Add(f.n)
-	drainWg.Add(f.n)
-	for i := 0; i < f.n; i++ {
-		c := &ctx{fab: f, node: i}
+	f.running.Store(int64(f.n))
+	var wg sync.WaitGroup
+	wg.Add(f.n)
+	for _, c := range f.ranks {
 		go func() {
-			defer drainWg.Done()
-			aborted := f.runApp(c, app, &appWg)
-			if !aborted {
-				c.drainUntil(f.done)
-			}
+			defer wg.Done()
+			f.runRank(c, app)
 		}()
 	}
-	appWg.Wait()
-	close(f.done)
-	drainWg.Wait()
-	// Stop consumers, then tear down the mappings: a consumer touching a
-	// segment after munmap would fault, so the order is load-bearing.
-	close(f.stop)
-	f.wg.Wait()
+	wg.Wait()
+	// No rank touches a lane any more, so the mappings can go.
 	f.closeLanes()
 	f.elapsed = sim.Time(time.Since(f.start))
 	if f.failed() {
@@ -290,93 +277,46 @@ func (f *Cluster) Run(app func(c fabric.Ctx)) error {
 	return nil
 }
 
-// runApp runs the app body on c's rank, converting the cluster-abort
-// panic back into orderly unwinding. Any other panic is a genuine
-// application bug and propagates. Reports whether the rank aborted.
-func (f *Cluster) runApp(c *ctx, app func(fabric.Ctx), appWg *sync.WaitGroup) (aborted bool) {
-	defer appWg.Done()
+// runRank runs the app body on c's rank, then serves messages until no
+// message can arrive any more. The cluster-abort panic unwinds the rank
+// quietly; any other panic is a genuine application bug and propagates.
+func (f *Cluster) runRank(c *ctx, app func(fabric.Ctx)) {
 	defer func() {
 		if r := recover(); r != nil {
 			if err, ok := r.(error); ok && f.failed() && err == f.err() {
-				aborted = true
 				return
 			}
 			panic(r)
 		}
 	}()
 	app(c)
-	return false
+	if f.running.Add(-1) == 0 && f.unhandled.Load() == 0 {
+		f.quiesce()
+	}
+	c.serve(f.quiet)
 }
 
-// consume moves frames from one inbound lane into dst's inbox. It spins
-// briefly, then parks on the lane's futex with a bounded timeout; the
-// first delivery after an actual sleep is recorded as a wake event.
-func (f *Cluster) consume(src, dst int, lane *RecvLane) {
-	defer f.wg.Done()
-	spin := 0
-	var sleptNs int64
-	for {
-		f.inflight[dst].Add(1)
-		size, payload, seq, ok, err := lane.Poll()
-		if err != nil {
-			f.inflight[dst].Add(-1)
-			f.fatalf("shmfab: lane %d->%d: %v", src, dst, err)
-			return
-		}
-		if !ok {
-			f.inflight[dst].Add(-1)
-			select {
-			case <-f.stop:
-				return
-			case <-f.fail:
-				return
-			default:
-			}
-			if spin < 64 {
-				spin++
-				runtime.Gosched()
-				continue
-			}
-			t0 := time.Now()
-			if lane.WaitData() {
-				sleptNs += int64(time.Since(t0))
-			}
-			continue
-		}
-		spin = 0
-		if sleptNs > 0 {
-			if tr := f.tr; tr != nil {
-				tr.Emit(trace.Event{Node: int32(dst), Kind: trace.EvShmWake,
-					Peer: int32(src), Aux: sleptNs})
-			}
-			sleptNs = 0
-		}
-		im := inMsg{m: fabric.Message{Src: src, Dst: dst, Size: size, Payload: payload}, seq: seq}
+// retire marks one message fully handled: its handler, and every send the
+// handler made, is done.
+func (f *Cluster) retire() {
+	if f.unhandled.Add(-1) == 0 && f.running.Load() == 0 {
+		f.quiesce()
+	}
+}
+
+// quiesce releases the draining ranks. The two counters are updated and
+// read in opposite orders by the app-exit and retire paths, so with
+// sequentially consistent atomics at least one of them sees both at zero.
+func (f *Cluster) quiesce() { f.quietOnce.Do(func() { close(f.quiet) }) }
+
+// ring wakes rank dst if it has declared itself parked.
+func (f *Cluster) ring(dst int) {
+	if d := f.ranks[dst]; d.parked.Load() {
 		select {
-		case f.inboxes[dst] <- im:
-		case <-f.fail:
-			f.inflight[dst].Add(-1)
-			return
-		case <-f.stop:
-			f.inflight[dst].Add(-1)
-			return
-		}
-		f.inflight[dst].Add(-1)
-	}
-}
-
-// quiescent reports whether node has nothing left to deliver right now:
-// no frame in any inbound ring, none in a consumer's hands, none queued.
-func (f *Cluster) quiescent(node int) bool {
-	if f.inflight[node].Load() != 0 || len(f.inboxes[node]) != 0 {
-		return false
-	}
-	for src, l := range f.recv[node] {
-		if src != node && l != nil && !l.Empty() {
-			return false
+		case d.bell <- struct{}{}:
+		default:
 		}
 	}
-	return true
 }
 
 // Report returns the cost breakdown accumulated by Charge calls.
@@ -392,10 +332,28 @@ func (f *Cluster) Report() []stats.NodeReport {
 	return reports
 }
 
-// ctx is one rank's execution context; all methods run on its goroutine.
+// ctx is one rank's execution context and node-loop state. Its methods
+// run on the rank's goroutine; senders on other ranks touch only parked
+// and bell.
 type ctx struct {
 	fab  *Cluster
 	node int
+
+	lanes    []inLane // inbound lanes, swept round-robin from next
+	next     int
+	self     []inMsg // self-sends, unhandled from selfHead on
+	selfHead int
+	selfSeq  int64
+	slept    time.Duration // last park, reported with the lane frame that ends it
+
+	parked atomic.Bool
+	bell   chan struct{} // 1-slot doorbell
+}
+
+// inLane is one inbound lane and the rank that sends on it.
+type inLane struct {
+	src  int
+	lane *RecvLane
 }
 
 func (c *ctx) Node() int                 { return c.node }
@@ -404,7 +362,7 @@ func (c *ctx) Profile() machine.Profile  { return c.fab.prof }
 func (c *ctx) Now() sim.Time             { return sim.Time(time.Since(c.fab.start)) }
 func (c *ctx) Counters() *stats.Counters { return &c.fab.counters[c.node] }
 
-// Charge accounts modeled time and polls the inbox; it does not sleep.
+// Charge accounts modeled time and polls the lanes; it does not sleep.
 func (c *ctx) Charge(cat int, d sim.Time) {
 	c.fab.acct[c.node][cat] += int64(d)
 	c.poll()
@@ -414,8 +372,10 @@ func (c *ctx) ChargeFlops(cat int, flops float64) {
 	c.Charge(cat, c.fab.prof.FlopTime(flops))
 }
 
-// Send transmits over the shm lane to dst (or straight into this node's
-// own inbox for a self-send) and polls.
+// Send transmits over the shm lane to dst (or onto this node's own
+// queue for a self-send) and polls. A send blocked on a full lane keeps
+// serving this rank and rings dst's doorbell: frames flushed before the
+// block may be all dst is waiting for.
 func (c *ctx) Send(dst, size int, payload any) {
 	f := c.fab
 	if dst < 0 || dst >= f.n {
@@ -424,110 +384,158 @@ func (c *ctx) Send(dst, size int, payload any) {
 	cnt := c.Counters()
 	cnt.Messages++
 	cnt.BytesSent += int64(size)
+	f.unhandled.Add(1)
 	if dst == c.node {
 		c.sendSelf(size, payload)
-		return
+	} else {
+		f.send[c.node][dst].Send(size, payload, func() {
+			f.ring(dst)
+			c.poll()
+		})
+		f.ring(dst)
 	}
-	f.send[c.node][dst].Send(size, payload, c.poll)
 	c.poll()
 }
 
-// sendSelf loops a message through this node's own inbox; no lane exists
-// on the diagonal. The enqueue-before-service order matches gofab: taking
-// a message while the queue has room could deliver a nested send first.
+// sendSelf queues a message to this node; no lane exists on the diagonal.
 func (c *ctx) sendSelf(size int, payload any) {
-	f := c.fab
 	im := inMsg{m: fabric.Message{Src: c.node, Dst: c.node, Size: size, Payload: payload}}
-	if tr := f.tr; tr != nil {
-		f.selfSeq[c.node]++
-		im.seq = f.selfSeq[c.node]
+	if tr := c.fab.tr; tr != nil {
+		c.selfSeq++
+		im.seq = c.selfSeq
 		tr.Emit(trace.Event{Node: int32(c.node), Kind: trace.EvMsgSend,
 			Peer: int32(c.node), Size: int64(size), Aux: im.seq})
 	}
-	for {
-		select {
-		case f.inboxes[c.node] <- im:
-			c.poll()
-			return
-		default:
+	c.self = append(c.self, im)
+}
+
+// handle records the delivery (when tracing), runs the handler and
+// retires the message.
+func (c *ctx) handle(m fabric.Message, seq int64) {
+	f := c.fab
+	if tr := f.tr; tr != nil {
+		tr.Emit(trace.Event{Node: int32(c.node), Kind: trace.EvMsgDeliver,
+			Peer: int32(m.Src), Size: int64(m.Size), Aux: seq})
+	}
+	f.handler(c, m)
+	f.retire()
+}
+
+// sweep takes at most one frame from each inbound lane, starting one lane
+// further round than the previous sweep so no peer starves another, then
+// the oldest self-send. It reports whether it did anything; a lane error
+// fails the cluster and counts as progress, so the caller sees the abort.
+func (c *ctx) sweep() bool {
+	f := c.fab
+	got := false
+	if k := len(c.lanes); k > 0 {
+		first := c.next
+		c.next = (first + 1) % k
+		for i := 0; i < k; i++ {
+			in := c.lanes[(first+i)%k]
+			size, payload, seq, ok, err := in.lane.Poll()
+			if err != nil {
+				f.fatalf("shmfab: lane %d->%d: %v", in.src, c.node, err)
+				return true
+			}
+			if !ok {
+				continue
+			}
+			got = true
+			if c.slept > 0 {
+				if tr := f.tr; tr != nil {
+					tr.Emit(trace.Event{Node: int32(c.node), Kind: trace.EvShmWake,
+						Peer: int32(in.src), Aux: int64(c.slept)})
+				}
+				c.slept = 0
+			}
+			c.handle(fabric.Message{Src: in.src, Dst: c.node, Size: size, Payload: payload}, seq)
 		}
-		select {
-		case f.inboxes[c.node] <- im:
-			c.poll()
+	}
+	if c.selfHead < len(c.self) {
+		im := c.self[c.selfHead]
+		c.self[c.selfHead] = inMsg{}
+		if c.selfHead++; c.selfHead == len(c.self) {
+			c.self, c.selfHead = c.self[:0], 0
+		}
+		got = true
+		c.handle(im.m, im.seq)
+	}
+	return got
+}
+
+// poll handles everything currently queued without blocking, and panics
+// with the cluster error after an abort.
+func (c *ctx) poll() {
+	for {
+		if c.fab.failed() {
+			panic(c.fab.err())
+		}
+		if !c.sweep() {
 			return
-		case in := <-f.inboxes[c.node]:
-			c.handle(in)
+		}
+	}
+}
+
+// serve is the rank's idle loop: it handles messages until wake closes,
+// spinning briefly when there is nothing to do and then parking. It
+// panics with the cluster error after an abort.
+func (c *ctx) serve(wake <-chan struct{}) {
+	f := c.fab
+	for idle := 0; ; {
+		select {
+		case <-wake:
+			return
 		case <-f.fail:
 			panic(f.err())
-		}
-	}
-}
-
-// handle records the delivery (when tracing) and runs the handler.
-func (c *ctx) handle(im inMsg) {
-	if tr := c.fab.tr; tr != nil {
-		tr.Emit(trace.Event{Node: int32(c.node), Kind: trace.EvMsgDeliver,
-			Peer: int32(im.m.Src), Size: int64(im.m.Size), Aux: im.seq})
-	}
-	c.fab.handler(c, im.m)
-}
-
-// poll handles all currently queued messages without blocking, and
-// panics with the cluster error after an abort.
-func (c *ctx) poll() {
-	f := c.fab
-	if f.failed() {
-		panic(f.err())
-	}
-	for {
-		select {
-		case im := <-f.inboxes[c.node]:
-			c.handle(im)
 		default:
-			return
 		}
-	}
-}
-
-// drainUntil keeps serving messages after the app body returns, until
-// every rank's app is done — then drains the tail: unlike gofab's
-// channel-only transport, a message here may still be sitting in a ring
-// or a consumer's hands, so the node serves until its inbound paths stay
-// quiet for the configured window.
-func (c *ctx) drainUntil(done chan struct{}) {
-	f := c.fab
-	for {
-		select {
-		case im := <-f.inboxes[c.node]:
-			c.handle(im)
-		case <-f.fail:
-			return
-		case <-done:
-			c.drainTail()
-			return
-		}
-	}
-}
-
-func (c *ctx) drainTail() {
-	f := c.fab
-	last := time.Now()
-	for {
-		select {
-		case im := <-f.inboxes[c.node]:
-			c.handle(im)
-			last = time.Now()
-		case <-f.fail:
-			return
+		got := c.sweep()
+		c.slept = 0
+		switch {
+		case got:
+			idle = 0
+		case idle < spinPolls:
+			idle++
+			runtime.Gosched()
 		default:
-			if !f.quiescent(c.node) {
-				last = time.Now()
-			} else if time.Since(last) >= f.opts.DrainQuiet {
-				return
-			}
-			time.Sleep(20 * time.Microsecond)
+			c.park(wake)
+			idle = 0
 		}
 	}
+}
+
+// park blocks until wake closes, the doorbell rings or the cluster fails.
+// parked is stored before the final emptiness check and a sender loads it
+// after its ring write; the atomics are sequentially consistent, so either
+// this check sees the frame or the sender sees the flag and rings.
+func (c *ctx) park(wake <-chan struct{}) {
+	c.parked.Store(true)
+	if c.pending() {
+		c.parked.Store(false)
+		return
+	}
+	t0 := time.Now()
+	select {
+	case <-wake:
+	case <-c.bell:
+	case <-c.fab.fail:
+	}
+	c.parked.Store(false)
+	c.slept = time.Since(t0)
+}
+
+// pending reports whether a message is waiting for this rank.
+func (c *ctx) pending() bool {
+	if c.selfHead < len(c.self) {
+		return true
+	}
+	for _, in := range c.lanes {
+		if !in.lane.Empty() {
+			return true
+		}
+	}
+	return false
 }
 
 // NewEvent creates a one-shot event.
@@ -550,23 +558,14 @@ func (e *event) Done() bool {
 	}
 }
 
-// Wait services the node's inbox until the event fires, accounting the
-// blocked wall time to the given category. An aborted cluster unwinds the
-// wait through the fail channel.
+// Wait serves the node until the event fires, accounting the blocked
+// wall time to the given category. An aborted cluster unwinds the wait
+// with the cluster error.
 func (e *event) Wait(fc fabric.Ctx, reason int) {
 	c := fc.(*ctx)
 	start := time.Now()
-	for {
-		select {
-		case <-e.ch:
-			c.fab.acct[c.node][reason] += int64(time.Since(start))
-			return
-		case im := <-c.fab.inboxes[c.node]:
-			c.handle(im)
-		case <-c.fab.fail:
-			panic(c.fab.err())
-		}
-	}
+	c.serve(e.ch)
+	c.fab.acct[c.node][reason] += int64(time.Since(start))
 }
 
 var _ fabric.Fabric = (*Cluster)(nil)

@@ -122,7 +122,7 @@ const (
 	// rules treat it exactly like EvMsgSend (delivery stays EvMsgDeliver),
 	// so the PR-1 invariants cover shm links unchanged.
 	EvShmSend  // Peer: dst, Aux: per-link seq, Aux2: 1 arena handoff / 0 inline
-	EvShmWake  // consumer slept and woke to data; Peer: src, Aux: slept ns
+	EvShmWake  // receiver parked and woke to lane data; Peer: src, Aux: parked ns
 	EvShmArena // arena pressure/teardown; Peer: dst, Aux: bytes, Aux2: live blocks
 
 	numKinds
