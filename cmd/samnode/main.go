@@ -76,7 +76,6 @@ var (
 	bootTimeout = flag.Duration("boot-timeout", 30*time.Second, "bootstrap and dial timeout")
 	linkRetry   = flag.Duration("link-retry", 0, "data-link outage budget before the fabric fails (0 = netfab default)")
 	writeTO     = flag.Duration("write-timeout", 0, "per-flush write deadline on data and ack frames (0 = netfab default)")
-	drainQuiet  = flag.Duration("drain-quiet", 0, "end-of-run link-quiet window (0 = netfab default)")
 	dialBackoff = flag.Duration("dial-backoff", 0, "initial dial-retry delay (0 = netfab default)")
 	dialBackMax = flag.Duration("dial-backoff-max", 0, "cap on the exponential dial-retry delay (0 = netfab default)")
 	tracePrefix = flag.String("trace", "", "dump transport trace to PREFIX-rank<K>.jsonl")
@@ -114,7 +113,6 @@ func fabricOptions() (netfab.Options, error) {
 		Boot:           *bootTimeout,
 		LinkRetry:      *linkRetry,
 		Write:          *writeTO,
-		DrainQuiet:     *drainQuiet,
 		DialBackoff:    *dialBackoff,
 		DialBackoffMax: *dialBackMax,
 		ShmDir:         *shmDir,
@@ -320,7 +318,6 @@ func spawnCluster() error {
 		"-boot-timeout", bootTimeout.String(),
 		"-link-retry", linkRetry.String(),
 		"-write-timeout", writeTO.String(),
-		"-drain-quiet", drainQuiet.String(),
 		"-dial-backoff", dialBackoff.String(),
 		"-dial-backoff-max", dialBackMax.String(),
 		"-grid", fmt.Sprint(*gridDim),

@@ -17,10 +17,11 @@ import (
 // the complete address map (frWelcome), collects an acknowledgement from
 // every peer (frReady) and releases them (frGo) — a barrier that
 // guarantees no node enters Run before every listener in the cluster is
-// reachable. The same control connections implement the end-of-run
-// barrier: each rank reports frDone when its application process returns,
-// and rank 0 answers with frAllDone once all N have, at which point
-// message service stops and Run returns everywhere.
+// reachable. The same control connections carry the termination waves
+// (see term.go): each rank reports frDone when its application process
+// returns, rank 0 probes until the cluster is provably out of messages,
+// and answers with frAllDone, at which point message service stops and
+// Run returns everywhere.
 //
 // Registration carries the wire registry hash (see wire.Hash): a cluster
 // whose processes were built with different registered type sets fails at
@@ -49,11 +50,11 @@ type registration struct {
 type bootState struct {
 	regCh chan registration
 
-	mu        sync.Mutex
-	ctrl      []net.Conn // rank 0: control conns indexed by rank (nil for 0)
-	ctrlConn  net.Conn   // rank > 0: connection to the rendezvous node
-	doneCount int        // rank 0: application processes finished so far
-	announced bool
+	mu       sync.Mutex
+	ctrl     []net.Conn // rank 0: control conns indexed by rank (nil for 0)
+	ctrlConn net.Conn   // rank > 0: connection to the rendezvous node
+
+	tallies chan tally // rank 0: count reports for the termination waves
 }
 
 func ctrlFrame(kind uint8, f func(*wire.Encoder)) []byte {
@@ -156,7 +157,7 @@ func (f *Fab) bootstrapRendezvous(deadline time.Time) error {
 }
 
 // ctrlReadLoop consumes control frames from one peer on rank 0: the ready
-// ack during bootstrap, then the done report at end of run.
+// ack during bootstrap, then the count reports of the termination waves.
 func (f *Fab) ctrlReadLoop(conn net.Conn, br *bufio.Reader, rank int) {
 	for {
 		body, err := readFrame(br)
@@ -172,7 +173,12 @@ func (f *Fab) ctrlReadLoop(conn net.Conn, br *bufio.Reader, rank int) {
 		case frReady:
 			f.readyOnce()
 		case frDone:
-			f.peerDone()
+			c := counts{sent: d.Varint(), handled: d.Varint()}
+			if d.Err() != nil {
+				f.fatalf("bad count report from rank %d: %v", rank, d.Err())
+				return
+			}
+			f.report(tally{rank, c})
 		case frAbort:
 			origin := d.Int()
 			reason := d.String()
@@ -203,35 +209,6 @@ func (f *Fab) readyOnce() {
 	f.readyCount++
 	if f.readyCount == f.n-1 {
 		close(f.ready)
-	}
-}
-
-// peerDone counts finished application processes (rank 0 only; its own
-// process reports through appDone). The n-th report triggers frAllDone.
-func (f *Fab) peerDone() {
-	b := f.boot
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.doneCount++
-	f.maybeAllDoneLocked()
-}
-
-func (f *Fab) maybeAllDoneLocked() {
-	b := f.boot
-	if b.doneCount < f.n || b.announced {
-		return
-	}
-	b.announced = true
-	// Complete the barrier before telling the peers: a peer may exit as
-	// soon as it reads frAllDone, and the EOF on its control link must
-	// read as the end of the run, not as a lost link. shutdown takes
-	// b.mu to close these links, so the sends below still finish first.
-	close(f.done)
-	alldone := ctrlFrame(frAllDone, nil)
-	for rank := 1; rank < f.n; rank++ {
-		if err := sendCtrl(b.ctrl[rank], alldone); err != nil {
-			f.fatalf("alldone to rank %d: %v", rank, err)
-		}
 	}
 }
 
@@ -304,7 +281,7 @@ func (f *Fab) bootstrapJoin(rendezvous string, deadline time.Time) error {
 		return err
 	}
 	conn.SetReadDeadline(time.Time{})
-	// From here the connection carries only the end-of-run barrier.
+	// From here the connection carries only the termination waves.
 	go func() {
 		for {
 			body, err := readFrame(br)
@@ -316,6 +293,13 @@ func (f *Fab) bootstrapJoin(rendezvous string, deadline time.Time) error {
 			}
 			d := wire.NewDecoder(body)
 			switch kind := d.Uint8(); kind {
+			case frProbe:
+				if err := sendCtrl(conn, f.countFrame()); err != nil {
+					if !f.closing.Load() && !f.ended() {
+						f.fatalf("count report: %v", err)
+					}
+					return
+				}
 			case frAllDone:
 				close(f.done)
 				return
@@ -330,16 +314,17 @@ func (f *Fab) bootstrapJoin(rendezvous string, deadline time.Time) error {
 	return nil
 }
 
-// appDone reports that the local application process returned.
+// appDone reports that the local application process returned; the
+// report carries the rank's counts and is its part of the first wave.
 func (f *Fab) appDone() {
 	if f.rank == 0 {
-		f.peerDone()
+		f.report(tally{0, f.counts()})
 		return
 	}
 	f.boot.mu.Lock()
 	conn := f.boot.ctrlConn
 	f.boot.mu.Unlock()
-	if err := sendCtrl(conn, ctrlFrame(frDone, func(e *wire.Encoder) { e.Int(f.rank) })); err != nil {
+	if err := sendCtrl(conn, f.countFrame()); err != nil {
 		f.fatalf("done report: %v", err)
 	}
 }

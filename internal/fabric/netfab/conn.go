@@ -18,7 +18,7 @@ import (
 // frames (uvarint byte count, then the body); the first body byte is the
 // kind. A connection's first frame declares its role: frRegister opens a
 // control connection to the rendezvous node, frHello opens a one-way data
-// link. Control frames implement the bootstrap, the end-of-run barrier and
+// link. Control frames implement the bootstrap, the termination waves and
 // cluster-wide abort; frData carries one fabric message. frAck flows in
 // the reverse direction of a data link (TCP is full duplex): the acceptor
 // acknowledges the highest per-link sequence number it has accepted, which
@@ -28,13 +28,14 @@ const (
 	frWelcome             // rank 0 -> peer: n, addrs[0..n), registry hash, boot id, shm maps
 	frReady               // peer -> rank 0: received the address map
 	frGo                  // rank 0 -> peer: everyone is ready, start Run
-	frDone                // peer -> rank 0: local application process finished
-	frAllDone             // rank 0 -> peer: every application finished, shut down
+	frDone                // peer -> rank 0: data messages sent and handled (app done, or a probe's answer)
+	frAllDone             // rank 0 -> peer: no message left anywhere, shut down
 	frHello               // dialer -> acceptor: src rank, resume flag
 	frData                // one fabric message: modeled size, per-link seq, payload
 	frAck                 // acceptor -> dialer: cumulative accepted per-link seq
 	frAbort               // control plane, both directions: origin rank, reason
 	frClient              // external client -> any rank: registry hash (see client.go)
+	frProbe               // rank 0 -> peer: next termination wave, answer with frDone
 )
 
 // maxFrame bounds a frame body; data items are at most a few hundred MB in
@@ -382,7 +383,9 @@ func (f *Fab) writeLoop(p *peer, conn net.Conn) {
 // reports the link unrecoverable — a fatal fabric error.
 func (f *Fab) redial(p *peer, unacked *[]outFrame) (net.Conn, *bufio.Writer) {
 	p.closeConn()
-	if f.closing.Load() {
+	if f.closing.Load() || f.ended() {
+		// Past the all-done barrier every frame has been handled, and a
+		// peer that exits severs its links; nothing is left to resend.
 		return nil, nil
 	}
 	if tr := f.tr; tr != nil {
@@ -397,7 +400,11 @@ func (f *Fab) redial(p *peer, unacked *[]outFrame) (net.Conn, *bufio.Writer) {
 		conn, err := dialRetry(f.dialCtx, f.addrs[p.dst], deadline,
 			f.opts.DialBackoff, f.opts.DialBackoffMax)
 		if err != nil {
-			f.fatalf("link %d->%d: reconnect: %v", f.rank, p.dst, err)
+			// Our own shutdown cancels the dial; that is the end of the
+			// run, not a lost link.
+			if !f.closing.Load() {
+				f.fatalf("link %d->%d: reconnect: %v", f.rank, p.dst, err)
+			}
 			return nil, nil
 		}
 		if err := f.sendHello(conn, true); err != nil {

@@ -92,3 +92,60 @@ func TestDialRetryCancel(t *testing.T) {
 		t.Fatal("dial ignored cancellation")
 	}
 }
+
+// TestRedialQuietOnShutdown pins the end-of-run race behind a flaky
+// cross-process test: a peer exits after the all-done barrier, this
+// rank's writer sees the link drop and redials, and this rank's own
+// shutdown then cancels the dial. That cancellation is the end of the
+// run, not a lost link, so it must leave no fatal error behind.
+func TestRedialQuietOnShutdown(t *testing.T) {
+	cl, err := NewLocal(machine.CM5, 2, WithDialBackoff(time.Hour), WithLinkRetry(2*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := cl.Fab(0)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.addrs[1] = ln.Addr().String()
+	ln.Close() // the peer is gone: every dial is refused
+	p := &peer{dst: 1, out: make(chan outFrame, 1), notify: make(chan struct{}, 1)}
+	var unacked []outFrame
+	redialed := make(chan struct{})
+	go func() {
+		f.redial(p, &unacked)
+		close(redialed)
+	}()
+	// Shut down only once the redial is inside dialRetry, where the
+	// cancellation lands.
+	deadline := time.Now().Add(5 * time.Second)
+	for !stackHas("netfab.dialRetry") {
+		if time.Now().After(deadline) {
+			t.Fatal("redial never reached dialRetry")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	f.shutdown()
+	cl.Fab(1).shutdown()
+	select {
+	case <-redialed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("redial ignored shutdown")
+	}
+	if err := f.err(); err != nil {
+		t.Fatalf("shutdown during a redial recorded a fatal error: %v", err)
+	}
+}
+
+// stackHas reports whether any goroutine's stack mentions fn.
+func stackHas(fn string) bool {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Contains(string(buf[:n]), fn)
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}

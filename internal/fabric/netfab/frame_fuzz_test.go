@@ -10,7 +10,7 @@ import (
 
 // frameSeeds returns one canonical encoding per frame shape the transport
 // ships, including the reliability frames: frAck, the resume form of
-// frHello, and frAbort.
+// frHello, and frAbort; and the termination waves' frProbe and counts.
 func frameSeeds() [][]byte {
 	var seeds [][]byte
 	add := func(build func(e *wire.Encoder)) {
@@ -26,7 +26,12 @@ func frameSeeds() [][]byte {
 		e.Uvarint(0xfeed)
 	})
 	add(func(e *wire.Encoder) { e.Uint8(frReady) })
-	add(func(e *wire.Encoder) { e.Uint8(frDone) })
+	add(func(e *wire.Encoder) {
+		e.Uint8(frDone)
+		e.Varint(1200) // sent
+		e.Varint(1187) // handled
+	})
+	add(func(e *wire.Encoder) { e.Uint8(frProbe) })
 	add(func(e *wire.Encoder) { e.Uint8(frAllDone) })
 	add(func(e *wire.Encoder) {
 		e.Uint8(frHello)
@@ -76,8 +81,13 @@ func FuzzFrameDecode(f *testing.F) {
 			e.Int(n)
 			e.String(addr)
 			e.Uvarint(hash)
-		case frReady, frDone, frAllDone:
+		case frReady, frProbe, frAllDone:
 			e.Uint8(kind)
+		case frDone:
+			sent, handled := d.Varint(), d.Varint()
+			e.Uint8(frDone)
+			e.Varint(sent)
+			e.Varint(handled)
 		case frHello:
 			src, resume := d.Int(), d.Bool()
 			e.Uint8(frHello)

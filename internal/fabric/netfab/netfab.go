@@ -19,15 +19,20 @@
 // first send. One connection per ordered pair plus one reader goroutine
 // per connection makes per-link FIFO delivery a structural property
 // rather than a protocol obligation. A per-peer writer goroutine batches
-// back-to-back sends into single TCP writes.
+// back-to-back sends into single TCP writes. Co-located ranks may trade
+// TCP for shared-memory lanes, which the rank goroutine polls itself in
+// the same node loop, parking behind a doorbell when idle (shm.go).
 //
-// A cluster bootstraps through a rendezvous node (rank 0): see boot.go.
+// A cluster bootstraps through a rendezvous node (rank 0), see boot.go,
+// and Run ends by exact termination detected over the same control
+// connections, see term.go.
 package netfab
 
 import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,6 +48,13 @@ import (
 
 // inboxCap bounds the local message queue, mirroring gofab.
 const inboxCap = 1 << 16
+
+// How many empty sweeps a rank with shm lanes makes, yielding between
+// them, before it parks (see spinBudget).
+const (
+	shortSpin = 64
+	longSpin  = 1024
+)
 
 // inMsg is a queued message plus its per-link sequence number.
 type inMsg struct {
@@ -100,13 +112,29 @@ type Fab struct {
 	// Hybrid shared-memory state (see shm.go). hostID/shmDir are this
 	// rank's advertisement (empty: no shm); hostIDs/shmDirs are the
 	// cluster-wide maps learned at bootstrap; bootID names this run's
-	// segment files. The lane slices are indexed by peer rank, nil for
-	// TCP peers.
+	// segment files and doorbells. The slices are indexed by peer rank,
+	// nil for TCP peers.
 	hostID, shmDir, bootID string
 	hostIDs, shmDirs       []string
 	shmSend                []*shmfab.SendLane
 	shmRecv                []*shmfab.RecvLane
-	shmWg                  sync.WaitGroup
+	peerBells              []*net.UnixAddr
+
+	// Node-loop state of the rank goroutine: the inbound lanes, swept
+	// round-robin from next; the empty sweeps before a park (spinBudget);
+	// the last park's length, reported with the lane frame that ends it;
+	// and the doorbell a parked rank waits on (nil without lanes).
+	lanes    []inLane
+	next     int
+	spin     int
+	slept    time.Duration
+	bell     chan struct{}
+	bellConn *net.UnixConn
+	bellDone chan struct{} // closed when the doorbell reader has ended
+
+	// Data messages this rank has sent and fully handled; the
+	// termination waves sum them over the cluster (see term.go).
+	sent, handled atomic.Int64
 
 	closing atomic.Bool
 	stop    chan struct{} // closed by shutdown; unblocks writer goroutines
@@ -164,7 +192,7 @@ func Join(cfg Config) (*Fab, error) {
 		rank: cfg.Rank, n: cfg.N, prof: cfg.Profile,
 		ln:       ln,
 		addrs:    make([]string, cfg.N),
-		boot:     &bootState{regCh: make(chan registration, cfg.N)},
+		boot:     &bootState{regCh: make(chan registration, cfg.N), tallies: make(chan tally, cfg.N)},
 		inbox:    make(chan inMsg, inboxCap),
 		peers:    make([]*peer, cfg.N),
 		inLinks:  make([]*inLink, cfg.N),
@@ -179,6 +207,8 @@ func Join(cfg Config) (*Fab, error) {
 		shmDirs:  make([]string, cfg.N),
 		shmSend:  make([]*shmfab.SendLane, cfg.N),
 		shmRecv:  make([]*shmfab.RecvLane, cfg.N),
+
+		peerBells: make([]*net.UnixAddr, cfg.N),
 	}
 	for i := range f.inLinks {
 		f.inLinks[i] = &inLink{}
@@ -365,8 +395,9 @@ func (f *Fab) Report() []stats.NodeReport {
 
 // Run executes app as this rank's application process and returns once
 // every rank in the cluster has finished. After the local app body
-// returns, the node keeps serving protocol messages (remote fetches of
-// locally-owned objects) until the end-of-run barrier completes.
+// returns, the node keeps serving messages (remote fetches of locally
+// owned objects, replies still in flight) until rank 0's termination
+// waves find that no message is left anywhere in the cluster.
 func (f *Fab) Run(app func(c fabric.Ctx)) (err error) {
 	if f.ran {
 		return fmt.Errorf("netfab: Run called twice")
@@ -374,7 +405,14 @@ func (f *Fab) Run(app func(c fabric.Ctx)) (err error) {
 	f.ran = true
 	f.start = time.Now()
 	f.startNS.Store(f.start.UnixNano())
-	f.startShmConsumers()
+	var detector chan struct{}
+	if f.rank == 0 {
+		detector = make(chan struct{})
+		go func() {
+			defer close(detector)
+			f.detectTermination()
+		}()
+	}
 	c := &ctx{fab: f}
 	defer func() {
 		if r := recover(); r != nil {
@@ -385,6 +423,9 @@ func (f *Fab) Run(app func(c fabric.Ctx)) (err error) {
 			}
 		}
 		f.shutdown()
+		if detector != nil {
+			<-detector // shutdown closed f.stop, which ends it
+		}
 		f.elapsed = sim.Time(time.Since(f.start))
 		if err == nil {
 			err = f.err()
@@ -392,29 +433,8 @@ func (f *Fab) Run(app func(c fabric.Ctx)) (err error) {
 	}()
 	app(c)
 	f.appDone()
-	// Post-app drain: serve remote requests until all ranks are done.
-	for {
-		select {
-		case <-f.done:
-			// Tail drain: a fire-and-forget note sent just before a peer
-			// reported done can still be in TCP flight when the all-done
-			// barrier completes. Keep serving until the link goes quiet so
-			// quiescent applications see every message delivered (which the
-			// trace conservation checker asserts).
-			for {
-				select {
-				case im := <-f.inbox:
-					c.handle(im)
-				case <-time.After(f.opts.DrainQuiet):
-					return nil
-				}
-			}
-		case im := <-f.inbox:
-			c.handle(im)
-		case <-f.fail:
-			return f.err()
-		}
-	}
+	c.serve(f.done)
+	return nil
 }
 
 // shutdown tears down connections and the listener. Idempotent.
@@ -440,9 +460,7 @@ func (f *Fab) shutdown() {
 	}
 	f.boot.mu.Unlock()
 	f.ln.Close()
-	// Unmapping a segment a consumer still touches would fault, so the
-	// lanes close only after every shm consumer has observed f.stop.
-	f.shmWg.Wait()
+	f.closeBell()
 	f.closeShmLanes()
 }
 
@@ -462,7 +480,10 @@ func (f *Fab) peer(dst int) *peer {
 }
 
 // ctx is this rank's execution context; all methods run on the app
-// goroutine (handlers included — they run inside poll).
+// goroutine (handlers included — they run inside poll). The node loop is
+// the polling message service of the CM-5 runtime: every fabric call
+// sweeps the rank's inbound shm lanes and its inbox, and an idle rank
+// spins briefly, then parks until a sender rings its doorbell.
 type ctx struct {
 	fab *Fab
 }
@@ -473,7 +494,7 @@ func (c *ctx) Profile() machine.Profile  { return c.fab.prof }
 func (c *ctx) Now() sim.Time             { return sim.Time(time.Since(c.fab.start)) }
 func (c *ctx) Counters() *stats.Counters { return &c.fab.counters[c.fab.rank] }
 
-// Charge accounts modeled time and polls the inbox; it does not sleep.
+// Charge accounts modeled time and polls; it does not sleep.
 func (c *ctx) Charge(cat int, d sim.Time) {
 	c.fab.acct[cat] += int64(d)
 	c.poll()
@@ -494,6 +515,7 @@ func (c *ctx) Send(dst, size int, payload any) {
 	cnt := c.Counters()
 	cnt.Messages++
 	cnt.BytesSent += int64(size)
+	f.sent.Add(1)
 	f.sendSeq[dst]++
 	seq := f.sendSeq[dst]
 	if dst == f.rank {
@@ -529,9 +551,14 @@ func (c *ctx) Send(dst, size int, payload any) {
 		// lane numbers and traces the send itself (EvShmSend via OnSend;
 		// its frame count is the link sequence, so f.sendSeq stays unused
 		// for shm destinations), and while blocked on ring or arena space
-		// it services our inbox — handlers may re-enter Send and queue
-		// behind this message in FIFO order.
-		sl.Send(size, payload, c.poll)
+		// it keeps this rank serving — handlers may re-enter Send and
+		// queue behind this message in FIFO order — and rings dst, since
+		// the frames written before the block may be all dst waits for.
+		sl.Send(size, payload, func() {
+			f.ring(dst)
+			c.poll()
+		})
+		f.ring(dst)
 		c.poll()
 		return
 	}
@@ -555,44 +582,190 @@ func (c *ctx) Send(dst, size int, payload any) {
 			return
 		default:
 		}
-		// Destination queue full: service our own inbox to avoid send-send
+		// Destination queue full: serve this rank to avoid send-send
 		// deadlock. The non-blocking attempt above must come first: a
 		// handled message can re-enter Send for the same link, and taking
 		// that path while the queue has room would enqueue the nested
-		// message's higher sequence number before ours. The select blocks
-		// until the writer drains the queue or a message arrives.
+		// message's higher sequence number before ours. With nothing to
+		// serve, block until the writer drains the queue, a message
+		// arrives or — parked like serve's park — a lane peer rings.
+		if c.sweep() || !f.prepark() {
+			continue
+		}
 		select {
 		case p.out <- of:
+			f.setParked(false)
 			c.poll()
 			return
 		case in := <-f.inbox:
+			f.setParked(false)
 			c.handle(in)
+		case <-f.bell:
+			f.setParked(false)
 		case <-f.fail:
 			panic(f.err())
 		}
 	}
 }
 
-// handle records the delivery (when tracing) and runs the handler.
+// handle records the delivery (when tracing), runs the handler and
+// counts the message handled — after the handler, so a message's own
+// sends are counted before it is.
 func (c *ctx) handle(im inMsg) {
-	if tr := c.fab.tr; tr != nil {
-		tr.Emit(trace.Event{Node: int32(c.fab.rank), Kind: trace.EvMsgDeliver,
+	f := c.fab
+	if tr := f.tr; tr != nil {
+		tr.Emit(trace.Event{Node: int32(f.rank), Kind: trace.EvMsgDeliver,
 			Peer: int32(im.m.Src), Size: int64(im.m.Size), Aux: im.seq})
 	}
-	c.fab.handler(c, im.m)
+	f.handler(c, im.m)
+	f.handled.Add(1)
 }
 
-// poll handles all currently queued messages without blocking.
+// sweep takes at most one frame from each inbound shm lane, starting one
+// lane further round than the previous sweep so no peer starves another,
+// then one message from the inbox (TCP peers and self-sends). It reports
+// whether it handled anything.
+func (c *ctx) sweep() bool {
+	f := c.fab
+	got := false
+	if k := len(f.lanes); k > 0 {
+		first := f.next
+		f.next = (first + 1) % k
+		for i := 0; i < k; i++ {
+			in := f.lanes[(first+i)%k]
+			size, payload, seq, ok, err := in.lane.Poll()
+			if err != nil {
+				f.fatalf("shm lane %d->%d: %v", in.src, f.rank, err)
+				panic(f.err())
+			}
+			if !ok {
+				continue
+			}
+			got = true
+			if f.slept > 0 {
+				if tr := f.tr; tr != nil {
+					tr.Emit(trace.Event{Node: int32(f.rank), Kind: trace.EvShmWake,
+						Peer: int32(in.src), Aux: int64(f.slept)})
+				}
+				f.slept = 0
+			}
+			c.handle(inMsg{m: fabricMsg(in.src, f.rank, size, payload), seq: seq})
+		}
+	}
+	select {
+	case im := <-f.inbox:
+		c.handle(im)
+		return true
+	default:
+		return got
+	}
+}
+
+// poll handles everything currently queued without blocking, and panics
+// with the fabric error after a failure.
 func (c *ctx) poll() {
-	c.fab.checkFail()
 	for {
-		select {
-		case im := <-c.fab.inbox:
-			c.handle(im)
-		default:
+		c.fab.checkFail()
+		if !c.sweep() {
 			return
 		}
 	}
+}
+
+// serve is the rank's idle loop: it handles messages until wake closes,
+// and panics with the fabric error after a failure. A rank with shm
+// lanes spins briefly when there is nothing to do, then parks; a TCP-only
+// rank has nothing to poll and blocks on its inbox directly.
+func (c *ctx) serve(wake <-chan struct{}) {
+	f := c.fab
+	if len(f.lanes) == 0 {
+		for {
+			select {
+			case <-wake:
+				return
+			case im := <-f.inbox:
+				c.handle(im)
+			case <-f.fail:
+				panic(f.err())
+			}
+		}
+	}
+	for idle := 0; ; {
+		select {
+		case <-wake:
+			return
+		case <-f.fail:
+			panic(f.err())
+		default:
+		}
+		got := c.sweep()
+		f.slept = 0
+		switch {
+		case got:
+			idle = 0
+		case idle < f.spin:
+			idle++
+			runtime.Gosched()
+		default:
+			c.park(wake)
+			idle = 0
+		}
+	}
+}
+
+// park blocks until wake closes, the inbox has a message, a lane peer
+// rings the doorbell or the fabric fails.
+func (c *ctx) park(wake <-chan struct{}) {
+	f := c.fab
+	if !f.prepark() {
+		return
+	}
+	t0 := time.Now()
+	select {
+	case <-wake:
+	case im := <-f.inbox:
+		f.setParked(false)
+		c.handle(im)
+		return
+	case <-f.bell:
+	case <-f.fail:
+	}
+	f.setParked(false)
+	f.slept = time.Since(t0)
+}
+
+// prepark raises the parked flag on every inbound lane and reports
+// whether the rank may block: false, with the flag cleared again, when a
+// lane already holds a frame. Every block that a lane frame should end
+// (park, and a send blocked on a full TCP queue) must call it first and
+// clear the flag when it wakes. The flag is stored before the emptiness
+// check and a sender claims it after its ring write; the atomics are
+// sequentially consistent, so either the check sees the frame or the
+// sender sees the flag and rings.
+func (f *Fab) prepark() bool {
+	f.setParked(true)
+	if f.lanesPending() {
+		f.setParked(false)
+		return false
+	}
+	return true
+}
+
+// setParked raises or clears the parked flag on every inbound lane.
+func (f *Fab) setParked(on bool) {
+	for _, in := range f.lanes {
+		in.lane.SetParked(on)
+	}
+}
+
+// lanesPending reports whether an inbound lane holds a frame.
+func (f *Fab) lanesPending() bool {
+	for _, in := range f.lanes {
+		if !in.lane.Empty() {
+			return true
+		}
+	}
+	return false
 }
 
 // NewEvent creates a one-shot event.
@@ -615,22 +788,13 @@ func (e *event) Done() bool {
 	}
 }
 
-// Wait services the inbox until the event fires, accounting the blocked
+// Wait serves the node until the event fires, accounting the blocked
 // wall time to the given category.
 func (e *event) Wait(fc fabric.Ctx, reason int) {
 	c := fc.(*ctx)
 	start := time.Now()
-	for {
-		select {
-		case <-e.ch:
-			c.fab.acct[reason] += int64(time.Since(start))
-			return
-		case im := <-c.fab.inbox:
-			c.handle(im)
-		case <-c.fab.fail:
-			panic(c.fab.err())
-		}
-	}
+	c.serve(e.ch)
+	c.fab.acct[reason] += int64(time.Since(start))
 }
 
 var _ fabric.Fabric = (*Fab)(nil)

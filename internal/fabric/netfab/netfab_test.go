@@ -214,7 +214,7 @@ type taskProbe struct{ i int32 }
 func init() {
 	wire.Register("netfabtest.task",
 		func(e *wire.Encoder, t taskProbe) { e.Varint(int64(t.i)) },
-		func(d *wire.Decoder) taskProbe { return taskProbe{i: int32(d.Varint())} })
+		func(d *wire.Decoder) taskProbe { return taskProbe{i: d.Int32()} })
 }
 
 // TestRunTwiceFails mirrors the other fabrics' contract.

@@ -26,10 +26,6 @@ type Options struct {
 	// (default 10s).
 	Write time.Duration
 
-	// DrainQuiet is how long a node keeps serving messages after the
-	// end-of-run barrier before declaring its links quiet (default 5ms).
-	DrainQuiet time.Duration
-
 	// AckWindow is the maximum number of unacknowledged data frames per
 	// outgoing link; a full window blocks the sender until acks arrive
 	// (default 4096).
@@ -110,11 +106,6 @@ func WithWriteTimeout(d time.Duration) Option {
 	return func(o *Options) { o.Write = d }
 }
 
-// WithDrainQuiet sets the end-of-run link-quiet window.
-func WithDrainQuiet(d time.Duration) Option {
-	return func(o *Options) { o.DrainQuiet = d }
-}
-
 // WithAckWindow caps unacknowledged data frames per outgoing link.
 func WithAckWindow(frames int) Option {
 	return func(o *Options) { o.AckWindow = frames }
@@ -181,9 +172,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Write == 0 {
 		o.Write = 10 * time.Second
-	}
-	if o.DrainQuiet == 0 {
-		o.DrainQuiet = 5 * time.Millisecond
 	}
 	if o.AckWindow == 0 {
 		o.AckWindow = 1 << 12

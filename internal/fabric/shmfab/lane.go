@@ -149,6 +149,15 @@ func (l *SendLane) flushOne() bool {
 	return true
 }
 
+// TakeParked reports whether the consumer is parked behind its doorbell
+// (see RecvLane.SetParked) and clears the flag, so that of all the sends
+// made during one park exactly one reports true and rings. Call it after
+// Send: the flag load follows the ring write, which is what closes the
+// race with the consumer's final emptiness check.
+func (l *SendLane) TakeParked() bool {
+	return l.ring.csleep.CompareAndSwap(consumerParked, 0)
+}
+
 // Reset reinitializes the lane in place after an injected link fault.
 // Shared memory has no connection to lose: nothing in flight is dropped,
 // the epoch count just records that the fault fired.
@@ -227,6 +236,21 @@ func (l *RecvLane) Poll() (size int, payload any, seq int64, ok bool, err error)
 // WaitData blocks for at most consumerWait until the lane may have data;
 // reports whether it actually slept.
 func (l *RecvLane) WaitData() bool { return l.ring.waitData(consumerWait) }
+
+// SetParked declares (or withdraws) that the consumer is about to park
+// behind a doorbell of its own rather than the lane futex. Set it before
+// the final Empty check that precedes the park; a sender that then writes
+// a frame sees the flag through TakeParked and rings the doorbell.
+func (l *RecvLane) SetParked(on bool) {
+	v := uint32(0)
+	if on {
+		v = consumerParked
+	}
+	l.ring.csleep.Store(v)
+}
+
+// Parked reports whether the consumer's parked flag is set.
+func (l *RecvLane) Parked() bool { return l.ring.csleep.Load() == consumerParked }
 
 // Empty reports whether the lane has no undelivered frames.
 func (l *RecvLane) Empty() bool { return l.ring.empty() }

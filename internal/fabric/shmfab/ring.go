@@ -114,9 +114,17 @@ func (r *ring) release(bodyLen int) {
 	r.wakeProducer()
 }
 
-// wakeConsumer wakes a consumer that declared itself sleeping.
+// Consumer-sleep word values: a consumer blocked in waitData sleeps on
+// the lane futex; a consumer parked behind an external doorbell (netfab's
+// hybrid rank loop) is woken by whoever claims the flag.
+const (
+	consumerFutex  = 1
+	consumerParked = 2
+)
+
+// wakeConsumer wakes a consumer sleeping on the lane futex.
 func (r *ring) wakeConsumer() {
-	if r.csleep.Load() != 0 {
+	if r.csleep.Load() == consumerFutex {
 		r.cwake.Add(1)
 		futexWake(r.cwake)
 	}
@@ -146,7 +154,7 @@ func (r *ring) waitSpace(d time.Duration) {
 // waitData blocks the consumer for at most d waiting for a frame, unless
 // one is already there. Reports whether it actually slept.
 func (r *ring) waitData(d time.Duration) bool {
-	r.csleep.Store(1)
+	r.csleep.Store(consumerFutex)
 	w := r.cwake.Load()
 	if !r.empty() {
 		r.csleep.Store(0)

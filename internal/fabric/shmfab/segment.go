@@ -19,14 +19,16 @@
 // protocol: frames leave in the order they were written.
 //
 // The package offers the lane machinery (used by netfab's hybrid mode,
-// where co-located pairs of a TCP cluster get shm lanes and a futex-parked
-// consumer per lane) and Cluster, an in-process fabric with all
-// communication through real mapped segments — the pure-shm
-// configuration, used by the conformance suite, the race detector and the
-// benchmarks. A Cluster rank's goroutine is its whole node loop: it polls
-// its inbound lanes inline, parks on an in-process doorbell when idle,
-// and Run ends on exact quiescence. The lane futex path is covered by the
-// lane tests and the hybrid suites.
+// where co-located pairs of a TCP cluster get shm lanes that each rank
+// goroutine polls itself, parking behind a doorbell it flags in the lane
+// header) and Cluster, an in-process fabric with all communication
+// through real mapped segments — the pure-shm configuration, used by the
+// conformance suite, the race detector and the benchmarks. A Cluster
+// rank's goroutine is its whole node loop: it polls its inbound lanes
+// inline, parks on an in-process doorbell when idle, and Run ends on
+// exact quiescence. The lane futex remains for a producer waiting on a
+// full ring and for RecvLane.WaitData; no fabric's receive path waits on
+// it.
 package shmfab
 
 import (

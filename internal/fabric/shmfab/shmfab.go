@@ -33,9 +33,7 @@ type inMsg struct {
 // relay goroutine stands between a lane and its rank. An idle rank spins
 // briefly, then parks on an in-process doorbell that a sender rings after
 // its ring write. Encode, ring write and in-place arena decode all happen
-// here where the race detector and the conformance suite can see them;
-// the lane futex wake used across processes is covered by the lane tests
-// and netfab's hybrid suites.
+// here where the race detector and the conformance suite can see them.
 type Cluster struct {
 	n        int
 	prof     machine.Profile

@@ -140,8 +140,8 @@ func encOName(e *wire.Encoder, o OName) {
 func decOName(d *wire.Decoder) OName {
 	return OName{
 		Tag: d.Uint8(),
-		X:   int32(d.Varint()),
-		Y:   int32(d.Varint()),
+		X:   d.Int32(),
+		Y:   d.Int32(),
 		Acc: d.Bool(),
 	}
 }
@@ -174,11 +174,11 @@ func init() {
 				Tenant: d.String(),
 				Sess:   d.String(),
 				Tag:    d.Uint8(),
-				X:      int32(d.Varint()),
-				Y:      int32(d.Varint()),
+				X:      d.Int32(),
+				Y:      d.Int32(),
 				NewTag: d.Uint8(),
-				NewX:   int32(d.Varint()),
-				NewY:   int32(d.Varint()),
+				NewX:   d.Int32(),
+				NewY:   d.Int32(),
 				Uses:   d.Varint(),
 				Acc:    d.Bool(),
 			}
@@ -228,7 +228,7 @@ func init() {
 				OK:   d.Bool(),
 				Err:  d.String(),
 				Rej:  d.Uint8(),
-				Home: int32(d.Varint()),
+				Home: d.Int32(),
 			}
 			if n := d.Len(8); n > 0 {
 				r.Val = make([]float64, n)

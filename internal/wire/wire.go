@@ -280,6 +280,17 @@ func (d *Decoder) Varint() int64 {
 // Int reads a signed varint as an int.
 func (d *Decoder) Int() int { return int(d.Varint()) }
 
+// Int32 reads a signed varint that must fit an int32, so a value written
+// with Varint(int64(x)) decodes back to x and nothing else does.
+func (d *Decoder) Int32() int32 {
+	v := d.Varint()
+	if int64(int32(v)) != v {
+		d.Failf("varint %d overflows int32", v)
+		return 0
+	}
+	return int32(v)
+}
+
 // Uint8 reads one raw byte.
 func (d *Decoder) Uint8() uint8 {
 	if d.err != nil {

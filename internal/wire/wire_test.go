@@ -11,6 +11,28 @@ import (
 	"samsys/internal/wire"
 )
 
+// TestInt32RejectsOverflow checks that Int32 decodes every int32 a
+// Varint wrote and fails on a varint outside the int32 range instead of
+// truncating it, which would accept a non-canonical frame.
+func TestInt32RejectsOverflow(t *testing.T) {
+	for _, v := range []int32{0, -1, math.MinInt32, math.MaxInt32} {
+		var e wire.Encoder
+		e.Varint(int64(v))
+		d := wire.NewDecoder(e.Bytes())
+		if got := d.Int32(); got != v || d.Err() != nil {
+			t.Errorf("Int32 of %d: got %d, err %v", v, got, d.Err())
+		}
+	}
+	for _, v := range []int64{math.MaxInt32 + 1, math.MinInt32 - 1, math.MaxInt64} {
+		var e wire.Encoder
+		e.Varint(v)
+		d := wire.NewDecoder(e.Bytes())
+		if got := d.Int32(); d.Err() == nil {
+			t.Errorf("Int32 accepted %d as %d", v, got)
+		}
+	}
+}
+
 func TestPrimitivesRoundTrip(t *testing.T) {
 	var e wire.Encoder
 	e.Uvarint(0)
